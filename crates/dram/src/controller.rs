@@ -48,11 +48,16 @@ pub struct Completion {
 }
 
 /// An in-flight request plus its decoded DRAM coordinates. Stored in the
-/// controller-level slab; channel queues hold slot indices into it.
+/// controller-level slab; channel queues and per-bank slot lists hold slot
+/// indices into it.
 #[derive(Debug, Clone, Copy)]
 struct QueuedRequest {
     req: MemoryRequest,
     decoded: DecodedAddr,
+    /// Position in the channel queue: the `queue_idx` policies see.
+    queue_pos: u32,
+    /// Position in its bank's slot list.
+    bank_pos: u32,
 }
 
 #[derive(Debug)]
@@ -61,6 +66,11 @@ struct ChannelState {
     /// request slab. Position order is the arrival order modulo
     /// `swap_remove` holes — exactly what the policy's `queue_idx` sees.
     queue: Vec<u32>,
+    /// The same slots grouped by target bank (order unspecified), so the
+    /// scheduler only visits the requests of banks that can issue.
+    bank_slots: Vec<Vec<u32>>,
+    /// One bit per bank whose slot list is non-empty.
+    occupied: u128,
     banks: Vec<Bank>,
     /// Next cycle at which the channel may issue (data-bus rate pacing).
     next_issue_at: u64,
@@ -87,11 +97,13 @@ fn act_is_legal(acts: &[(u64, usize)], act_at: u64, group: usize, timing: &DramT
         }
     }
     if timing.t_faw > 0 && acts.len() >= 4 {
-        let mut all: Vec<u64> = acts.iter().map(|&(a, _)| a).collect();
-        all.push(act_at);
-        all.sort_unstable();
-        for w in all.windows(5) {
-            if w[4] - w[0] < timing.t_faw {
+        // Some five consecutive ACTs (in time order, history plus the new
+        // one) span less than tFAW exactly when some ACT at `x` has five
+        // ACTs in `[x, x + tFAW)`, itself included. Counting per ACT needs
+        // no sorted copy; the history holds only a handful of entries.
+        let times = || acts.iter().map(|&(a, _)| a).chain(std::iter::once(act_at));
+        for x in times() {
+            if times().filter(|&y| y >= x && y - x < timing.t_faw).count() >= 5 {
                 return false;
             }
         }
@@ -99,37 +111,96 @@ fn act_is_legal(acts: &[(u64, usize)], act_at: u64, group: usize, timing: &DramT
     true
 }
 
-/// Whether queued request `q` is schedulable on its channel at `cycle`.
-///
-/// This is the single source of truth for the candidate filter: the
-/// per-cycle scheduler and the event engine's wake-up computation
-/// ([`MemoryController::next_wake`]) must agree exactly, or skip-ahead
-/// would stop being cycle-exact.
-fn is_schedulable(
-    q: &QueuedRequest,
+/// What one bank admits at a cycle. Whether a queued request is
+/// schedulable depends only on its bank, its kind and whether it hits the
+/// open row, so the scheduler and [`MemoryController::next_wake`] evaluate
+/// readiness, the open-row shield and tRRD/tFAW legality once per bank
+/// instead of once per request.
+#[derive(Debug, Clone, Copy)]
+struct BankGate {
+    /// The bank's open row.
+    open_row: Option<u64>,
+    /// Reads may issue (tWTR has elapsed); writes need only the bank ready.
+    read: bool,
+    /// Requests that do not hit the open row may issue: the row is not
+    /// shielded by pending hits and the implied ACTIVATE is legal.
+    miss: bool,
+}
+
+impl BankGate {
+    fn admits(&self, q: &QueuedRequest) -> bool {
+        (self.read || q.req.kind == ReqKind::Write)
+            && (self.miss || self.open_row == Some(q.decoded.row))
+    }
+}
+
+/// Evaluates bank `bank_idx` of `channel` at `cycle`, or `None` when the
+/// bank is busy and admits nothing. This is the single source of truth for
+/// the candidate filter: the per-cycle scheduler and the event engine's
+/// wake-up computation must agree exactly, or skip-ahead would stop being
+/// cycle-exact.
+fn bank_gate(
     channel: &ChannelState,
-    pending_hit: bool,
+    slab: &[QueuedRequest],
+    bank_idx: usize,
     shield_rows: bool,
     cycle: u64,
     config: &DramConfig,
-) -> bool {
-    let bank = &channel.banks[q.decoded.bank];
-    if !bank.is_ready_for(q.req.kind, cycle) {
-        return false;
+) -> Option<BankGate> {
+    let bank = &channel.banks[bank_idx];
+    if !bank.is_ready(cycle) {
+        return None;
     }
-    let row_hit = bank.open_row() == Some(q.decoded.row);
-    if shield_rows && !row_hit && pending_hit && bank.hits_since_open() < ROW_STREAK_CAP {
-        return false;
-    }
-    // ACT pacing: a request whose implied ACTIVATE would violate tRRD or
-    // tFAW is not schedulable this cycle.
-    if let Some(act_at) = bank.prospective_act_at(q.decoded.row, cycle, &config.timing) {
-        let group = config.bank_group(q.decoded.bank);
-        if !act_is_legal(&channel.acts, act_at, group, &config.timing) {
-            return false;
+    let open_row = bank.open_row();
+    let (mut has_hit, mut miss_row) = (false, None);
+    for &slot in &channel.bank_slots[bank_idx] {
+        let row = slab[slot as usize].decoded.row;
+        if open_row == Some(row) {
+            has_hit = true;
+        } else {
+            miss_row = Some(row);
+        }
+        if has_hit && miss_row.is_some() {
+            break;
         }
     }
-    true
+    // Open-page awareness: while a bank still has queued row hits for its
+    // open row, realistic schedulers do not close that row for a
+    // conflicting request — the pending hits cost tCCD each, the
+    // precharge+activate costs an order of magnitude more. A per-row hit
+    // budget bounds the shielding so conflicting requests cannot starve
+    // (row-hit streak cap, as in real MCs).
+    let shielded = shield_rows && has_hit && bank.hits_since_open() < ROW_STREAK_CAP;
+    // ACT pacing: a request whose implied ACTIVATE would violate tRRD or
+    // tFAW is not schedulable this cycle.
+    let miss = !shielded
+        && miss_row.is_some_and(|row| {
+            bank.prospective_act_at(row, cycle, &config.timing)
+                .is_none_or(|act_at| {
+                    act_is_legal(
+                        &channel.acts,
+                        act_at,
+                        config.bank_group(bank_idx),
+                        &config.timing,
+                    )
+                })
+        });
+    Some(BankGate {
+        open_row,
+        read: bank.is_ready_for(ReqKind::Read, cycle),
+        miss,
+    })
+}
+
+/// Iterates the indices of the set bits of `mask`, lowest first.
+fn bits(mut mask: u128) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
 }
 
 /// A multi-channel memory controller with a pluggable scheduling policy.
@@ -176,6 +247,8 @@ impl MemoryController {
         let channels = (0..config.channels)
             .map(|_| ChannelState {
                 queue: Vec::with_capacity(config.queue_capacity),
+                bank_slots: vec![Vec::new(); config.banks_per_channel],
+                occupied: 0,
                 banks: (0..config.banks_per_channel).map(|_| Bank::new()).collect(),
                 next_issue_at: 0,
                 next_refresh_at: if config.timing.t_refi == 0 {
@@ -295,17 +368,25 @@ impl MemoryController {
         self.stats.source_mut(req.source).enqueued += 1;
         *self.pending_per_source.entry(req.source).or_insert(0) += 1;
         self.policy.on_enqueue(req.source);
+        let queued = QueuedRequest {
+            req,
+            decoded,
+            queue_pos: channel.queue.len() as u32,
+            bank_pos: channel.bank_slots[decoded.bank].len() as u32,
+        };
         let slot = match self.free_slots.pop() {
             Some(slot) => {
-                self.slab[slot as usize] = QueuedRequest { req, decoded };
+                self.slab[slot as usize] = queued;
                 slot
             }
             None => {
-                self.slab.push(QueuedRequest { req, decoded });
+                self.slab.push(queued);
                 (self.slab.len() - 1) as u32
             }
         };
         channel.queue.push(slot);
+        channel.bank_slots[decoded.bank].push(slot);
+        channel.occupied |= 1 << decoded.bank;
         let depth = channel.queue.len() as u64;
         if depth > self.stats.scheduler.queue_hwm {
             self.stats.scheduler.queue_hwm = depth;
@@ -363,20 +444,6 @@ impl MemoryController {
             .map(|&Reverse((finish, _, _))| finish)
     }
 
-    /// Row-hit shielding precondition: a bitmask of banks that still have
-    /// queued row hits for their open row. Shared by the scheduler and
-    /// `next_wake` so both see the identical shield state.
-    fn pending_hit_mask(&self, channel: &ChannelState) -> u128 {
-        let mut mask = 0u128;
-        for &slot in &channel.queue {
-            let q = &self.slab[slot as usize];
-            if channel.banks[q.decoded.bank].open_row() == Some(q.decoded.row) {
-                mask |= 1 << q.decoded.bank;
-            }
-        }
-        mask
-    }
-
     /// The earliest cycle `>= from` at which this controller might do
     /// anything other than accumulate uniform stall cycles: issue a
     /// request, run a refresh, unblock the data bus, hit a policy
@@ -407,60 +474,58 @@ impl MemoryController {
                 wake = wake.min(channel.next_issue_at);
                 continue;
             }
+            // No candidate at `from` (checked per bank, returning early
+            // otherwise): collect every cycle at which a queued request's
+            // schedulability could flip from false to true. Bank/row/shield
+            // state is frozen until the next issue or refresh (both of
+            // which are themselves wake points), so the thresholds below
+            // are a complete superset. They depend only on each bank and
+            // on whether it queues reads and requests that miss its row.
             let shield_rows = self.policy.respects_open_rows();
-            let pending_hits = if shield_rows {
-                self.pending_hit_mask(channel)
-            } else {
-                0
-            };
-            let schedulable = channel.queue.iter().any(|&slot| {
-                let q = &self.slab[slot as usize];
-                let pending_hit = pending_hits >> q.decoded.bank & 1 != 0;
-                is_schedulable(q, channel, pending_hit, shield_rows, from, &self.config)
-            });
-            if schedulable {
-                return from;
-            }
-            // No candidate at `from`: collect every cycle at which a
-            // queued request's schedulability predicate could flip from
-            // false to true. Bank/row/shield state is frozen until the
-            // next issue or refresh (both of which are themselves wake
-            // points), so the thresholds below are a complete superset.
             let mut best = u64::MAX;
             let consider = |c: u64, best: &mut u64| {
                 if c > from && c < *best {
                     *best = c;
                 }
             };
-            for &slot in &channel.queue {
-                let q = &self.slab[slot as usize];
-                let bank = &channel.banks[q.decoded.bank];
+            let (mut any_miss, mut any_conflict) = (false, false);
+            for b in bits(channel.occupied) {
+                let slots = &channel.bank_slots[b];
+                let queued = || slots.iter().map(|&slot| &self.slab[slot as usize]);
+                if let Some(gate) =
+                    bank_gate(channel, &self.slab, b, shield_rows, from, &self.config)
+                {
+                    if queued().any(|q| gate.admits(q)) {
+                        return from;
+                    }
+                }
+                let bank = &channel.banks[b];
                 consider(bank.ready_at(), &mut best);
-                if q.req.kind == ReqKind::Read {
+                if queued().any(|q| q.req.kind == ReqKind::Read) {
                     consider(bank.read_ready_at(), &mut best);
                 }
-                match bank.probe(q.decoded.row) {
-                    RowOutcome::Hit => {}
-                    RowOutcome::Miss => {
-                        // Implied ACT at the issue cycle itself: tRRD/tFAW
-                        // legality flips when the history entries age out.
-                        for &(a, _) in &channel.acts {
-                            consider(a + timing.t_rrd_s, &mut best);
-                            consider(a + timing.t_rrd_l, &mut best);
-                            consider(a + timing.t_faw, &mut best);
-                        }
-                    }
-                    RowOutcome::Conflict => {
-                        // Implied ACT at max(cycle, ras_done_at) + tRP:
-                        // the same thresholds shifted into issue-cycle
-                        // space, plus the tRAS release boundary where the
-                        // ACT time starts tracking the issue cycle.
+                if queued().any(|q| bank.open_row() != Some(q.decoded.row)) {
+                    if bank.open_row().is_none() {
+                        any_miss = true;
+                    } else {
+                        // The implied PRE waits for tRAS: the ACT time
+                        // starts tracking the issue cycle at its release.
+                        any_conflict = true;
                         consider(bank.ras_done_at(), &mut best);
-                        for &(a, _) in &channel.acts {
-                            consider((a + timing.t_rrd_s).saturating_sub(timing.t_rp), &mut best);
-                            consider((a + timing.t_rrd_l).saturating_sub(timing.t_rp), &mut best);
-                            consider((a + timing.t_faw).saturating_sub(timing.t_rp), &mut best);
-                        }
+                    }
+                }
+            }
+            for &(a, _) in &channel.acts {
+                // A miss's implied ACT is at the issue cycle itself:
+                // tRRD/tFAW legality flips when history entries age out.
+                // A conflict's is at max(cycle, ras_done_at) + tRP: the
+                // same thresholds shifted into issue-cycle space.
+                for need in [timing.t_rrd_s, timing.t_rrd_l, timing.t_faw] {
+                    if any_miss {
+                        consider(a + need, &mut best);
+                    }
+                    if any_conflict {
+                        consider((a + need).saturating_sub(timing.t_rp), &mut best);
                     }
                 }
             }
@@ -496,6 +561,35 @@ impl MemoryController {
             }
         }
         self.stats.elapsed_cycles = self.stats.elapsed_cycles.max(to);
+    }
+
+    /// Replaces `out` with the schedulable requests of channel `ch_idx` at
+    /// `cycle`: each occupied bank is evaluated once ([`bank_gate`]) and
+    /// only the requests of banks that can issue are visited. Candidates
+    /// come bank by bank, so their order is not queue order.
+    fn collect_candidates(&self, ch_idx: usize, cycle: u64, out: &mut Vec<Candidate>) {
+        out.clear();
+        let channel = &self.channels[ch_idx];
+        let shield_rows = self.policy.respects_open_rows();
+        for b in bits(channel.occupied) {
+            let Some(gate) = bank_gate(channel, &self.slab, b, shield_rows, cycle, &self.config)
+            else {
+                continue;
+            };
+            for &slot in &channel.bank_slots[b] {
+                let q = &self.slab[slot as usize];
+                if gate.admits(q) {
+                    out.push(Candidate {
+                        queue_idx: q.queue_pos as usize,
+                        source: q.req.source,
+                        row_hit: gate.open_row == Some(q.decoded.row),
+                        arrival: q.req.arrival,
+                        bank: b,
+                        row: q.decoded.row,
+                    });
+                }
+            }
+        }
     }
 
     fn schedule_channel(&mut self, ch_idx: usize, cycle: u64) {
@@ -569,36 +663,7 @@ impl MemoryController {
         }
 
         let mut candidates = std::mem::take(&mut self.cand_scratch);
-        candidates.clear();
-        {
-            let channel = &self.channels[ch_idx];
-            // Open-page awareness: while a bank still has queued row hits
-            // for its open row, realistic schedulers do not close that row
-            // for a conflicting request — the pending hits cost tCCD each,
-            // the precharge+activate costs an order of magnitude more. A
-            // per-row hit budget bounds the shielding so conflicting
-            // requests cannot starve (row-hit streak cap, as in real MCs).
-            let shield_rows = self.policy.respects_open_rows();
-            let pending_hits = if shield_rows {
-                self.pending_hit_mask(channel)
-            } else {
-                0
-            };
-            for (i, &slot) in channel.queue.iter().enumerate() {
-                let q = &self.slab[slot as usize];
-                let pending_hit = pending_hits >> q.decoded.bank & 1 != 0;
-                if is_schedulable(q, channel, pending_hit, shield_rows, cycle, &self.config) {
-                    candidates.push(Candidate {
-                        queue_idx: i,
-                        source: q.req.source,
-                        row_hit: channel.banks[q.decoded.bank].open_row() == Some(q.decoded.row),
-                        arrival: q.req.arrival,
-                        bank: q.decoded.bank,
-                        row: q.decoded.row,
-                    });
-                }
-            }
-        }
+        self.collect_candidates(ch_idx, cycle, &mut candidates);
         if candidates.is_empty() {
             self.cand_scratch = candidates;
             self.stats.scheduler.no_candidate += 1;
@@ -624,7 +689,18 @@ impl MemoryController {
 
         let channel = &mut self.channels[ch_idx];
         let slot = channel.queue.swap_remove(queue_idx);
+        if let Some(&moved) = channel.queue.get(queue_idx) {
+            self.slab[moved as usize].queue_pos = queue_idx as u32;
+        }
         let q = self.slab[slot as usize];
+        let bank_slots = &mut channel.bank_slots[q.decoded.bank];
+        bank_slots.swap_remove(q.bank_pos as usize);
+        if let Some(&moved) = bank_slots.get(q.bank_pos as usize) {
+            self.slab[moved as usize].bank_pos = q.bank_pos;
+        }
+        if bank_slots.is_empty() {
+            channel.occupied &= !(1 << q.decoded.bank);
+        }
         self.free_slots.push(slot);
         let issue = channel.banks[q.decoded.bank].issue(
             q.decoded.row,
@@ -700,6 +776,192 @@ impl MemoryController {
 mod tests {
     use super::*;
     use crate::policy::PolicyKind;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Reference tRRD/tFAW rule: the tFAW check sorts every ACT time and
+    /// tests each window of five consecutive ones.
+    fn act_is_legal_sorted(
+        acts: &[(u64, usize)],
+        act_at: u64,
+        group: usize,
+        timing: &DramTiming,
+    ) -> bool {
+        for &(a, g) in acts {
+            let need = if g == group {
+                timing.t_rrd_l
+            } else {
+                timing.t_rrd_s
+            };
+            if need > 0 && act_at.abs_diff(a) < need {
+                return false;
+            }
+        }
+        if timing.t_faw > 0 && acts.len() >= 4 {
+            let mut all: Vec<u64> = acts.iter().map(|&(a, _)| a).collect();
+            all.push(act_at);
+            all.sort_unstable();
+            if all.windows(5).any(|w| w[4] - w[0] < timing.t_faw) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Reference candidate filter: the per-request predicate the per-bank
+    /// gates replaced. Returns `(queue_idx, row_hit)` of every schedulable
+    /// request of channel `ch_idx` at `cycle`, in queue order.
+    fn reference_candidates(
+        mc: &MemoryController,
+        ch_idx: usize,
+        cycle: u64,
+    ) -> Vec<(usize, bool)> {
+        let channel = &mc.channels[ch_idx];
+        let config = &mc.config;
+        let shield_rows = mc.policy.respects_open_rows();
+        let queued = || channel.queue.iter().map(|&slot| &mc.slab[slot as usize]);
+        let hits_open =
+            |q: &QueuedRequest| channel.banks[q.decoded.bank].open_row() == Some(q.decoded.row);
+        // Banks that still have queued row hits for their open row.
+        let pending_hits: u128 = queued()
+            .filter(|q| hits_open(q))
+            .fold(0, |mask, q| mask | 1 << q.decoded.bank);
+        let is_schedulable = |q: &QueuedRequest| {
+            let bank = &channel.banks[q.decoded.bank];
+            if !bank.is_ready_for(q.req.kind, cycle) {
+                return false;
+            }
+            let pending_hit = pending_hits >> q.decoded.bank & 1 != 0;
+            if shield_rows
+                && !hits_open(q)
+                && pending_hit
+                && bank.hits_since_open() < ROW_STREAK_CAP
+            {
+                return false;
+            }
+            match bank.prospective_act_at(q.decoded.row, cycle, &config.timing) {
+                Some(act_at) => act_is_legal_sorted(
+                    &channel.acts,
+                    act_at,
+                    config.bank_group(q.decoded.bank),
+                    &config.timing,
+                ),
+                None => true,
+            }
+        };
+        queued()
+            .enumerate()
+            .filter(|(_, q)| is_schedulable(q))
+            .map(|(i, q)| (i, hits_open(q)))
+            .collect()
+    }
+
+    /// The slot bookkeeping behind the per-bank scan: every queued slot
+    /// knows its queue position and its place in its bank's list, and the
+    /// occupancy mask names exactly the banks with queued requests.
+    fn check_slot_index(mc: &MemoryController) -> Result<(), String> {
+        for (c, channel) in mc.channels.iter().enumerate() {
+            for (i, &slot) in channel.queue.iter().enumerate() {
+                let q = &mc.slab[slot as usize];
+                if q.queue_pos as usize != i {
+                    return Err(format!(
+                        "ch{c}: slot {slot} at queue {i} says {}",
+                        q.queue_pos
+                    ));
+                }
+                if channel.bank_slots[q.decoded.bank].get(q.bank_pos as usize) != Some(&slot) {
+                    return Err(format!("ch{c}: slot {slot} missing from its bank list"));
+                }
+            }
+            let listed: usize = channel.bank_slots.iter().map(Vec::len).sum();
+            if listed != channel.queue.len() {
+                return Err(format!(
+                    "ch{c}: {listed} listed, {} queued",
+                    channel.queue.len()
+                ));
+            }
+            for (b, slots) in channel.bank_slots.iter().enumerate() {
+                if (channel.occupied >> b & 1 != 0) == slots.is_empty() {
+                    return Err(format!("ch{c}: occupancy bit of bank {b} is stale"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn act_rule_matches_sorted_window_reference(
+            acts in prop::collection::vec((0u64..200, 0usize..4), 0..9),
+            act_at in 0u64..200,
+            group in 0usize..4,
+            faw_scale in 0u64..4,
+        ) {
+            let mut timing = DramTiming::ddr4_3200();
+            timing.t_faw *= faw_scale;
+            prop_assert_eq!(
+                act_is_legal(&acts, act_at, group, &timing),
+                act_is_legal_sorted(&acts, act_at, group, &timing)
+            );
+        }
+
+        #[test]
+        fn per_bank_candidates_match_per_request_reference(
+            policy in 0usize..5,
+            xavier in any::<bool>(),
+            faw_scale in 1u64..4,
+            hot_rows in 1usize..6,
+            write_fraction in 0.0f64..0.6,
+            load in 0.05f64..0.9,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut config = if xavier { DramConfig::xavier() } else { DramConfig::cmp_study() };
+            config.timing.t_faw *= faw_scale;
+            let mut mc = MemoryController::new(config, PolicyKind::all()[policy].instantiate());
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // A few hot rows, each a run of consecutive lines, so requests
+            // hit, miss and conflict and row-hit streaks reach the cap.
+            let bases: Vec<u64> = (0..hot_rows).map(|_| rng.gen_range(0..1u64 << 28) & !0xfff).collect();
+            let mut done = Vec::new();
+            let mut id = 0;
+            for cycle in 0..1_500u64 {
+                while rng.gen_bool(load) {
+                    let addr = bases[rng.gen_range(0..hot_rows)] + 64 * rng.gen_range(0..64u64);
+                    let source = SourceId(rng.gen_range(0..4usize));
+                    let mut req = MemoryRequest::read(id, source, addr, cycle);
+                    if rng.gen_bool(write_fraction) {
+                        req.kind = ReqKind::Write;
+                    }
+                    id += 1;
+                    if mc.try_enqueue(req).is_err() {
+                        break;
+                    }
+                }
+                // Random ACT history: extra entries around the current
+                // cycle make tRRD/tFAW bind far more often than traffic
+                // alone does.
+                if rng.gen_bool(0.05) {
+                    let ch = rng.gen_range(0..mc.channels.len());
+                    let at = cycle + rng.gen_range(0..120u64);
+                    let group = rng.gen_range(0..4usize);
+                    mc.channels[ch].acts.push((at.saturating_sub(60), group));
+                }
+                let mut cands = Vec::new();
+                for ch in 0..mc.channels.len() {
+                    mc.collect_candidates(ch, cycle, &mut cands);
+                    let mut got: Vec<(usize, bool)> =
+                        cands.iter().map(|c| (c.queue_idx, c.row_hit)).collect();
+                    got.sort_unstable();
+                    prop_assert_eq!(got, reference_candidates(&mc, ch, cycle), "cycle {}, ch {}", cycle, ch);
+                }
+                mc.tick_into(cycle, &mut done);
+                if let Err(e) = check_slot_index(&mc) {
+                    prop_assert!(false, "cycle {}: {}", cycle, e);
+                }
+            }
+        }
+    }
 
     fn controller(kind: PolicyKind) -> MemoryController {
         MemoryController::new(DramConfig::cmp_study(), kind.instantiate())

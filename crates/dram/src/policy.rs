@@ -26,7 +26,10 @@ use std::fmt;
 /// One issuable request presented to a scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
-    /// Index of the request in the channel queue (returned by `choose`).
+    /// Index of the request in the channel queue: unique among one call's
+    /// candidates. A policy must pick by a key that ends in `queue_idx`
+    /// (as every built-in policy does), so that its decision does not
+    /// depend on the unspecified candidate order.
     pub queue_idx: usize,
     /// Source that issued the request.
     pub source: SourceId,
@@ -45,7 +48,9 @@ pub struct Candidate {
 pub struct ScheduleInput<'a> {
     /// Current memory-controller cycle.
     pub cycle: u64,
-    /// Issuable requests (banks free) in this channel.
+    /// Issuable requests (banks free) in this channel, in unspecified
+    /// order: the controller gathers them bank by bank, not in queue
+    /// order. Break ties by [`Candidate::queue_idx`].
     pub candidates: &'a [Candidate],
     /// Number of pending (queued, not yet served) requests per source across
     /// the whole controller; used by SMS's shortest-job-first stage.
@@ -170,6 +175,22 @@ fn oldest(cands: &[Candidate]) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
+/// The index of the candidate `pred` accepts with the smallest `key`,
+/// preferring row hits, then the oldest: the lexicographic minimum of
+/// `(key, !row_hit, arrival, queue_idx)`, found in one pass.
+fn best_by<K: Ord>(
+    cands: &[Candidate],
+    pred: impl Fn(&Candidate) -> bool,
+    key: impl Fn(&Candidate) -> K,
+) -> Option<usize> {
+    cands
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| pred(c))
+        .min_by_key(|(_, c)| (key(c), !c.row_hit, c.arrival, c.queue_idx))
+        .map(|(i, _)| i)
+}
+
 fn oldest_where<F: Fn(&Candidate) -> bool>(cands: &[Candidate], pred: F) -> Option<usize> {
     cands
         .iter()
@@ -228,7 +249,7 @@ impl SchedulingPolicy for FrFcfs {
     }
 
     fn choose(&mut self, input: &ScheduleInput<'_>) -> Option<usize> {
-        oldest_where(input.candidates, |c| c.row_hit).or_else(|| oldest(input.candidates))
+        best_by(input.candidates, |_| true, |_| ())
     }
 }
 
@@ -253,7 +274,9 @@ pub struct Atlas {
     pub alpha: f64,
     service_current: BTreeMap<SourceId, f64>,
     service_total: BTreeMap<SourceId, f64>,
-    rank: BTreeMap<SourceId, usize>,
+    /// Rank of each source, indexed by source id; sources past the end
+    /// have no rank yet.
+    rank: Vec<usize>,
     next_quantum: u64,
     next_epoch: u64,
 }
@@ -270,7 +293,7 @@ impl Atlas {
             alpha,
             service_current: BTreeMap::new(),
             service_total: BTreeMap::new(),
-            rank: BTreeMap::new(),
+            rank: Vec::new(),
             next_quantum: quantum_cycles,
             next_epoch: 0,
         }
@@ -286,7 +309,7 @@ impl Atlas {
     /// unknown sources get top priority, as in the original (new threads
     /// have attained no service yet).
     fn rank_of(&self, source: SourceId) -> usize {
-        self.rank.get(&source).copied().unwrap_or(0)
+        self.rank.get(source.0).copied().unwrap_or(0)
     }
 
     fn recompute_ranks(&mut self) {
@@ -300,11 +323,12 @@ impl Atlas {
             .map(|s| (s, self.attained_service(s)))
             .collect();
         by_service.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        self.rank = by_service
-            .into_iter()
-            .enumerate()
-            .map(|(r, (s, _))| (s, r))
-            .collect();
+        self.rank.clear();
+        let len = by_service.iter().map(|(s, _)| s.0 + 1).max().unwrap_or(0);
+        self.rank.resize(len, 0);
+        for (r, (s, _)) in by_service.into_iter().enumerate() {
+            self.rank[s.0] = r;
+        }
     }
 }
 
@@ -327,27 +351,16 @@ impl SchedulingPolicy for Atlas {
 
     fn choose(&mut self, input: &ScheduleInput<'_>) -> Option<usize> {
         let cands = input.candidates;
-        if cands.is_empty() {
-            return None;
-        }
         // (1) Over-threshold requests, oldest first.
         if let Some(i) = oldest_where(cands, |c| {
             input.cycle.saturating_sub(c.arrival) > self.threshold_cycles
         }) {
             return Some(i);
         }
-        // (2) Best-ranked (least-attained-service) source among candidates;
-        // ranks are fixed within the epoch.
-        let best_rank = cands.iter().map(|c| self.rank_of(c.source)).min()?;
-        let pool: Vec<Candidate> = cands
-            .iter()
-            .copied()
-            .filter(|c| self.rank_of(c.source) == best_rank)
-            .collect();
-        // (3) Row-hit first, (4) oldest, within that source class.
-        let pick = oldest_where(&pool, |c| c.row_hit).or_else(|| oldest(&pool))?;
-        let chosen = pool[pick];
-        cands.iter().position(|c| c.queue_idx == chosen.queue_idx)
+        // (2) Best-ranked (least-attained-service) source among
+        // candidates, ranks fixed within the epoch; then (3) row-hit first
+        // and (4) oldest within that source class.
+        best_by(cands, |_| true, |c| self.rank_of(c.source))
     }
 
     fn on_enqueue(&mut self, source: SourceId) {
@@ -395,8 +408,12 @@ pub struct Tcm {
     /// latency-sensitive cluster (the original ClusterThresh, default 4/24).
     pub cluster_thresh: f64,
     served_current: BTreeMap<SourceId, u64>,
-    latency_cluster: Vec<SourceId>,
+    /// The bandwidth-sensitive cluster in (shuffled) rank order.
     bw_rank: Vec<SourceId>,
+    /// Per source id, the priority `choose` ranks by: 0 for the
+    /// latency-sensitive cluster, 1 + shuffled rank in the bandwidth
+    /// cluster, `usize::MAX` (also past the end) for unclustered sources.
+    priority: Vec<usize>,
     next_quantum: u64,
     next_shuffle: u64,
     rng: SmallRng,
@@ -415,23 +432,28 @@ impl Tcm {
             shuffle_cycles,
             cluster_thresh,
             served_current: BTreeMap::new(),
-            latency_cluster: Vec::new(),
             bw_rank: Vec::new(),
+            priority: Vec::new(),
             next_quantum: quantum_cycles,
             next_shuffle: shuffle_cycles,
             rng: SmallRng::seed_from_u64(seed),
         }
     }
 
-    fn is_latency_sensitive(&self, source: SourceId) -> bool {
-        self.latency_cluster.contains(&source)
+    fn priority_of(&self, source: SourceId) -> usize {
+        self.priority.get(source.0).copied().unwrap_or(usize::MAX)
     }
 
-    fn rank_of(&self, source: SourceId) -> usize {
-        self.bw_rank
-            .iter()
-            .position(|&s| s == source)
-            .unwrap_or(usize::MAX)
+    #[cfg(test)]
+    fn is_latency_sensitive(&self, source: SourceId) -> bool {
+        self.priority_of(source) == 0
+    }
+
+    /// Writes the bandwidth cluster's current rank order into `priority`.
+    fn rank_bandwidth_cluster(&mut self) {
+        for (rank, s) in self.bw_rank.iter().enumerate() {
+            self.priority[s.0] = rank + 1;
+        }
     }
 
     fn reform_clusters(&mut self) {
@@ -439,19 +461,26 @@ impl Tcm {
         let mut by_intensity: Vec<(SourceId, u64)> =
             self.served_current.iter().map(|(&s, &v)| (s, v)).collect();
         by_intensity.sort_by_key(|&(s, v)| (v, s));
-        self.latency_cluster.clear();
         self.bw_rank.clear();
+        self.priority.clear();
+        let len = by_intensity
+            .iter()
+            .map(|&(s, _)| s.0 + 1)
+            .max()
+            .unwrap_or(0);
+        self.priority.resize(len, usize::MAX);
         let budget = (total as f64 * self.cluster_thresh) as u64;
         let mut used = 0u64;
         for (src, v) in by_intensity {
             if used + v <= budget {
                 used += v;
-                self.latency_cluster.push(src);
+                self.priority[src.0] = 0;
             } else {
                 self.bw_rank.push(src);
             }
         }
         self.served_current.values_mut().for_each(|v| *v = 0);
+        self.rank_bandwidth_cluster();
     }
 
     fn shuffle_ranks(&mut self) {
@@ -460,6 +489,7 @@ impl Tcm {
             let j = self.rng.gen_range(0..=i);
             self.bw_rank.swap(i, j);
         }
+        self.rank_bandwidth_cluster();
     }
 }
 
@@ -478,31 +508,10 @@ impl SchedulingPolicy for Tcm {
     }
 
     fn choose(&mut self, input: &ScheduleInput<'_>) -> Option<usize> {
-        let cands = input.candidates;
-        if cands.is_empty() {
-            return None;
-        }
-        // (1) Latency-sensitive cluster first.
-        let latency: Vec<Candidate> = cands
-            .iter()
-            .copied()
-            .filter(|c| self.is_latency_sensitive(c.source))
-            .collect();
-        let pool: Vec<Candidate> = if !latency.is_empty() {
-            latency
-        } else {
-            // (2) Highest-ranked bandwidth-cluster source.
-            let best_rank = cands.iter().map(|c| self.rank_of(c.source)).min()?;
-            cands
-                .iter()
-                .copied()
-                .filter(|c| self.rank_of(c.source) == best_rank)
-                .collect()
-        };
-        // (3) Row hit, (4) oldest.
-        let pick = oldest_where(&pool, |c| c.row_hit).or_else(|| oldest(&pool))?;
-        let chosen = pool[pick];
-        cands.iter().position(|c| c.queue_idx == chosen.queue_idx)
+        // (1) Latency-sensitive cluster first, (2) then the
+        // highest-ranked bandwidth-cluster source, (3) row hit, (4) oldest.
+        // Within the latency cluster every source shares priority 0.
+        best_by(input.candidates, |_| true, |c| self.priority_of(c.source))
     }
 
     fn on_enqueue(&mut self, source: SourceId) {
@@ -543,6 +552,8 @@ pub struct Sms {
     pub p_shortest: f64,
     round_robin_next: usize,
     rng: SmallRng,
+    /// Scratch: the distinct candidate sources of one `choose` call.
+    sources: Vec<SourceId>,
 }
 
 impl Sms {
@@ -556,6 +567,7 @@ impl Sms {
             p_shortest,
             round_robin_next: 0,
             rng: SmallRng::seed_from_u64(seed),
+            sources: Vec::new(),
         }
     }
 }
@@ -576,7 +588,9 @@ impl SchedulingPolicy for Sms {
         if cands.is_empty() {
             return None;
         }
-        let mut sources: Vec<SourceId> = cands.iter().map(|c| c.source).collect();
+        let sources = &mut self.sources;
+        sources.clear();
+        sources.extend(cands.iter().map(|c| c.source));
         sources.sort_unstable();
         sources.dedup();
 
@@ -594,15 +608,8 @@ impl SchedulingPolicy for Sms {
             self.round_robin_next = self.round_robin_next.wrapping_add(1);
             sources[idx]
         };
-
-        let pool: Vec<Candidate> = cands
-            .iter()
-            .copied()
-            .filter(|c| c.source == target)
-            .collect();
-        let pick = oldest_where(&pool, |c| c.row_hit).or_else(|| oldest(&pool))?;
-        let chosen = pool[pick];
-        cands.iter().position(|c| c.queue_idx == chosen.queue_idx)
+        // Row hit first, then oldest, within the selected source.
+        best_by(cands, |c| c.source == target, |_| ())
     }
 }
 

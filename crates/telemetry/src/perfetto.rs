@@ -5,9 +5,10 @@
 //! `chrome://tracing` both load): each span becomes a `B`/`E` duration
 //! pair on `pid` 1 with `tid` = lane + 1, each lane gets a `thread_name`
 //! metadata record, and counter samples become `C` events that Perfetto
-//! renders as counter tracks. Events are emitted already sorted per lane
-//! with ties broken so that an `E` at timestamp *t* precedes a `B` at the
-//! same *t* — that keeps zero-width adjacency well-nested for strict
+//! renders as counter tracks. Each lane's events are emitted in nesting
+//! order with non-decreasing timestamps, so an `E` at timestamp *t*
+//! precedes a `B` at the same *t* unless the `B` opens a child — that
+//! keeps zero-width adjacency and zero-width scopes well-nested for strict
 //! parsers, and is the ordering [`check_trace`] verifies.
 //!
 //! [`check_trace`] is the other half: it re-parses an exported trace and
@@ -51,41 +52,60 @@ fn uint(u: u64) -> Value {
     Value::Number(Number::U(u))
 }
 
+/// One `B` or `E` event of `span` at `ts`, keyed by (tid, ts).
+fn span_event(span: &ProfSpan, ph: &str, ts: u64) -> (u64, u64, Value) {
+    let tid = u64::from(span.lane) + 1;
+    let event = obj(vec![
+        ("name", string(&span.name)),
+        ("ph", string(ph)),
+        ("pid", uint(1)),
+        ("tid", uint(tid)),
+        ("ts", uint(ts)),
+    ]);
+    (tid, ts, event)
+}
+
 /// Renders spans and counter samples as a Chrome Trace Event Format JSON
-/// document. Deterministic for a fixed input: events are sorted by
-/// `(tid, ts, E-before-B, depth)` and object keys are emitted in
-/// `BTreeMap` order.
+/// document. Deterministic for a fixed input: each lane's spans are
+/// walked in pre-order (start, then longest first, then shallowest) and a
+/// span is nested under the innermost open span of a shallower recorded
+/// depth, so the rendered nesting depth is always the recorded one. Object
+/// keys are emitted in `BTreeMap` order.
 pub fn trace_json(spans: &[ProfSpan], counters: &[CounterSample]) -> String {
-    // (tid, ts, rank, depth_key, payload): at equal timestamps on a lane,
-    // E events close deepest-first (rank 0, inverted depth) before B
-    // events open shallowest-first (rank 1, natural depth).
-    let mut keyed: Vec<(u64, u64, u8, u32, Value)> = Vec::new();
+    // (tid, ts, payload). Well-nested spans are emitted with
+    // non-decreasing timestamps per lane, so the final (stable) sort only
+    // groups events by tid.
+    let mut keyed: Vec<(u64, u64, Value)> = Vec::new();
     let mut lanes: Vec<u32> = Vec::new();
-    for span in spans {
-        let tid = u64::from(span.lane) + 1;
+    let mut order: Vec<&ProfSpan> = spans.iter().collect();
+    order.sort_by_key(|s| {
+        (
+            s.lane,
+            s.start_us,
+            std::cmp::Reverse(s.start_us + s.dur_us),
+            s.depth,
+        )
+    });
+    let mut open: Vec<&ProfSpan> = Vec::new();
+    for span in order {
         if !lanes.contains(&span.lane) {
             lanes.push(span.lane);
         }
-        // Floor the rendered duration at 1 µs: a sub-microsecond scope
-        // rounds to dur 0, and its E at the same ts would sort before its
-        // own B under the E-before-B tie-break.
-        let end_ts = span.start_us + span.dur_us.max(1);
-        let begin = obj(vec![
-            ("name", string(&span.name)),
-            ("ph", string("B")),
-            ("pid", uint(1)),
-            ("tid", uint(tid)),
-            ("ts", uint(span.start_us)),
-        ]);
-        let end = obj(vec![
-            ("name", string(&span.name)),
-            ("ph", string("E")),
-            ("pid", uint(1)),
-            ("tid", uint(tid)),
-            ("ts", uint(end_ts)),
-        ]);
-        keyed.push((tid, span.start_us, 1, span.depth, begin));
-        keyed.push((tid, end_ts, 0, u32::MAX - span.depth, end));
+        // Close every open span this one cannot nest in: spans of another
+        // lane and spans at its depth or deeper. A sub-microsecond scope
+        // renders with zero width, its E right after its own B.
+        while let Some(top) = open.last() {
+            if top.lane == span.lane && top.depth < span.depth {
+                break;
+            }
+            keyed.push(span_event(top, "E", top.start_us + top.dur_us));
+            open.pop();
+        }
+        keyed.push(span_event(span, "B", span.start_us));
+        open.push(span);
+    }
+    while let Some(top) = open.pop() {
+        keyed.push(span_event(top, "E", top.start_us + top.dur_us));
     }
     for sample in counters {
         let event = obj(vec![
@@ -99,9 +119,9 @@ pub fn trace_json(spans: &[ProfSpan], counters: &[CounterSample]) -> String {
             ("tid", uint(COUNTER_TID)),
             ("ts", uint(sample.ts_us)),
         ]);
-        keyed.push((COUNTER_TID, sample.ts_us, 2, 0, event));
+        keyed.push((COUNTER_TID, sample.ts_us, event));
     }
-    keyed.sort_by_key(|a| (a.0, a.1, a.2, a.3));
+    keyed.sort_by_key(|a| (a.0, a.1));
 
     lanes.sort_unstable();
     let mut events: Vec<Value> = Vec::new();
@@ -126,7 +146,7 @@ pub fn trace_json(spans: &[ProfSpan], counters: &[CounterSample]) -> String {
             ("tid", uint(u64::from(lane) + 1)),
         ]));
     }
-    events.extend(keyed.into_iter().map(|(_, _, _, _, event)| event));
+    events.extend(keyed.into_iter().map(|(_, _, event)| event));
 
     let document = obj(vec![
         ("displayTimeUnit", string("ms")),
@@ -313,14 +333,27 @@ mod tests {
 
     #[test]
     fn zero_duration_stack_stays_well_nested() {
-        // Sub-microsecond scopes round to dur 0; the 1 µs render floor
-        // keeps each E strictly after its own B.
+        // Sub-microsecond scopes round to dur 0; each E still follows its
+        // own B, innermost first.
         let spans = vec![
             span("w", 1, 0, 7, 0),
             span("inner", 1, 1, 7, 0),
             span("leaf", 1, 2, 7, 0),
         ];
         let check = check_trace(&trace_json(&spans, &[])).expect("zero-width stack must nest");
+        assert_eq!(check.max_depth, 3);
+    }
+
+    #[test]
+    fn zero_width_child_at_parent_end_keeps_its_depth() {
+        // A scope that opens in its parent's last microsecond starts at
+        // the parent's end timestamp; it must still render inside it.
+        let spans = vec![
+            span("worker", 1, 0, 9, 1),
+            span("inner", 1, 1, 10, 0),
+            span("leaf", 1, 2, 10, 0),
+        ];
+        let check = check_trace(&trace_json(&spans, &[])).expect("must nest");
         assert_eq!(check.max_depth, 3);
     }
 

@@ -143,16 +143,16 @@ impl Drop for ProfScope {
         let Some(inner) = self.inner.take() else {
             return;
         };
-        let dur_us = inner
-            .started
-            .elapsed()
-            .as_micros()
-            .min(u128::from(u64::MAX)) as u64;
-        let start_us = inner
-            .started
-            .duration_since(epoch())
-            .as_micros()
-            .min(u128::from(u64::MAX)) as u64;
+        // Round both ends against the epoch and derive the duration from
+        // them: rounding start and duration separately can push a child's
+        // end one µs past its parent's.
+        let since_epoch = |t: Instant| {
+            t.duration_since(epoch())
+                .as_micros()
+                .min(u128::from(u64::MAX)) as u64
+        };
+        let start_us = since_epoch(inner.started);
+        let dur_us = since_epoch(Instant::now()) - start_us;
         let child_us = OPEN.with(|open| {
             let mut open = open.borrow_mut();
             let child_us = open.pop().unwrap_or(0);

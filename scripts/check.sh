@@ -119,6 +119,10 @@ step engine-parity engine_parity
 step doc    cargo doc --no-deps --workspace
 step doc-complete doc_complete
 step test   cargo test --release --workspace
+# perfbench is a package of its own that links the crates' public API:
+# build and test it here, so an API change that breaks the benchmark
+# fails the gate instead of the next benchmark run.
+step perfbench-test cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 if ((${#failed[@]})); then
   echo "FAILED: ${failed[*]}" >&2
