@@ -1,32 +1,23 @@
 //! The scheduling engine: replays a job stream against the co-run
 //! simulator under a placement policy.
 //!
-//! Execution is quasi-static: placements are fixed between scheduling
-//! events (arrivals, phase boundaries, completions), so the engine probes
-//! the co-run simulator once per event for the sustained work rate of every
-//! resident PU and advances time analytically to the next event. All rate
-//! probes go through a shared cache keyed by the placement set, which is
-//! what makes the oracle policy affordable: its candidate probes and the
-//! engine's own measurements share the same simulations.
+//! The replay itself is the shared discrete-event core in
+//! [`crate::replay`]; this driver feeds it a fixed, sorted arrival list
+//! and records decisions and per-job outcomes. All rate probes go through
+//! a shared cache keyed by the placement set ([`SimProbe`]), which is what
+//! makes the oracle policy affordable: its candidate probes and the
+//! replay's own measurements share the same simulations.
 
 use crate::error::SchedError;
 use crate::job::Job;
-use crate::policy::{
-    DecisionInput, PendingJob, PhaseEstimate, PlacementOption, Policy, Probe, PuSlot, Resident,
-};
+use crate::policy::{Assignment, Policy};
+pub use crate::replay::SimProbe;
+use crate::replay::{forced_choice, Replay};
 use crate::report::{DecisionRecord, JobOutcome, ScheduleReport};
-use pccs_soc::corun::{CoRunConfig, CoRunSim, Placement};
-use pccs_soc::kernel::KernelDesc;
+use pccs_soc::corun::CoRunConfig;
 use pccs_soc::soc::SocConfig;
 use pccs_telemetry::audit::{self, AuditRecord};
 use pccs_telemetry::{metrics, Profiler, TraceLog};
-use std::collections::BTreeMap;
-
-/// Floor for measured rates, lines per cycle.
-const MIN_RATE: f64 = 1e-9;
-
-/// Work below this many lines counts as finished.
-const WORK_EPSILON: f64 = 1e-6;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -34,16 +25,12 @@ pub struct SchedConfig {
     /// Measurement configuration of the rate probes (short horizons keep
     /// decisions cheap; the cache keeps them from repeating).
     pub probe: CoRunConfig,
-    /// Upper bound on scheduling events before the engine declares a
-    /// livelock (defensive; never reached by the bundled policies).
-    pub max_steps: usize,
 }
 
 impl Default for SchedConfig {
     fn default() -> Self {
         Self {
             probe: CoRunConfig::probe(),
-            max_steps: 100_000,
         }
     }
 }
@@ -53,220 +40,19 @@ impl SchedConfig {
     pub fn quick() -> Self {
         Self {
             probe: CoRunConfig::probe().with_horizon(8_000),
-            ..Self::default()
         }
     }
 }
 
-/// The engine's probe: co-run rate measurements through [`CoRunSim`],
-/// cached by placement set.
+/// What a placement attaches to a running job: its standalone time on the
+/// chosen PU, and the decision's predicted cost and provenance, so
+/// completion can resolve the prediction into an audit-ledger pair.
 #[derive(Debug)]
-pub struct SimProbe<'a> {
-    soc: &'a SocConfig,
-    config: CoRunConfig,
-    corun_cache: BTreeMap<String, BTreeMap<usize, f64>>,
-    standalone_cache: BTreeMap<String, (f64, f64)>,
-}
-
-impl<'a> SimProbe<'a> {
-    /// A probe against `soc` at the given measurement fidelity.
-    pub fn new(soc: &'a SocConfig, config: CoRunConfig) -> Self {
-        Self {
-            soc,
-            config,
-            corun_cache: BTreeMap::new(),
-            standalone_cache: BTreeMap::new(),
-        }
-    }
-
-    fn kernel_sig(kernel: &KernelDesc) -> String {
-        format!(
-            "{}|{:.5}|{:.4}|{:.4}|{:.4}",
-            kernel.name,
-            kernel.ops_per_byte,
-            kernel.row_locality,
-            kernel.write_fraction,
-            kernel.parallel_efficiency
-        )
-    }
-
-    /// Standalone (work rate in lines/cycle, bandwidth demand in GB/s) of
-    /// `kernel` on PU `pu_idx`; cached.
-    pub fn standalone(&mut self, pu_idx: usize, kernel: &KernelDesc) -> (f64, f64) {
-        let key = format!("{pu_idx}@{}", Self::kernel_sig(kernel));
-        if let Some(hit) = self.standalone_cache.get(&key) {
-            return *hit;
-        }
-        let profile = CoRunSim::standalone_with(self.soc, pu_idx, kernel, &self.config);
-        let result = (profile.lines_per_cycle, profile.bw_gbps);
-        self.standalone_cache.insert(key, result);
-        result
-    }
-}
-
-impl Probe for SimProbe<'_> {
-    fn corun_rates(&mut self, placements: &[(usize, KernelDesc)]) -> BTreeMap<usize, f64> {
-        let mut parts: Vec<String> = placements
-            .iter()
-            .map(|(pu, k)| format!("{pu}@{}", Self::kernel_sig(k)))
-            .collect();
-        parts.sort_unstable();
-        let key = parts.join(";");
-        if let Some(hit) = self.corun_cache.get(&key) {
-            return hit.clone();
-        }
-        let mut sim = CoRunSim::with_config(self.soc, self.config.clone());
-        for (pu, kernel) in placements {
-            sim.place(Placement::kernel(*pu, kernel.clone()));
-        }
-        let out = sim.execute();
-        let rates: BTreeMap<usize, f64> = out
-            .per_pu
-            .iter()
-            .map(|(pu, r)| (*pu, r.lines_per_cycle))
-            .collect();
-        self.corun_cache.insert(key, rates.clone());
-        rates
-    }
-}
-
-/// A job in flight. Carries the placement decision's predicted cost and
-/// provenance so completion can resolve the prediction into an
-/// audit-ledger pair.
-#[derive(Debug)]
-struct Running {
-    job: Job,
-    pu_idx: usize,
-    phase: usize,
-    remaining_lines: f64,
-    start: f64,
+struct Placed {
+    standalone_cycles: f64,
     predicted_cost: f64,
-    placed_by: String,
+    placed_by: &'static str,
     region: String,
-}
-
-impl Running {
-    fn kernel<'k>(&'k self, soc: &SocConfig) -> &'k KernelDesc {
-        self.job.phases[self.phase]
-            .kernel_for(soc.pus[self.pu_idx].kind)
-            .expect("placement was validated against eligibility")
-    }
-}
-
-/// Standalone execution time of `job` on PU `pu_idx`, summed over phases.
-fn standalone_cycles(probe: &mut SimProbe, soc: &SocConfig, job: &Job, pu_idx: usize) -> f64 {
-    job.phases
-        .iter()
-        .map(|ph| {
-            let kernel = ph
-                .kernel_for(soc.pus[pu_idx].kind)
-                .expect("caller checked eligibility");
-            let (rate, _) = probe.standalone(pu_idx, kernel);
-            ph.work_lines / rate.max(MIN_RATE)
-        })
-        .sum()
-}
-
-fn build_input(
-    probe: &mut SimProbe,
-    soc: &SocConfig,
-    now: f64,
-    queue: &[Job],
-    running: &[Running],
-) -> DecisionInput {
-    let slots: Vec<PuSlot> = soc
-        .pus
-        .iter()
-        .enumerate()
-        .map(|(pu_idx, pu)| {
-            let resident = running.iter().find(|r| r.pu_idx == pu_idx);
-            let est_free_in = resident.map_or(0.0, |r| {
-                let kernel = r.kernel(soc);
-                let (rate, _) = probe.standalone(pu_idx, kernel);
-                let mut left = r.remaining_lines / rate.max(MIN_RATE);
-                for ph in &r.job.phases[r.phase + 1..] {
-                    let k = ph
-                        .kernel_for(pu.kind)
-                        .expect("placement was validated against eligibility");
-                    let (rate, _) = probe.standalone(pu_idx, k);
-                    left += ph.work_lines / rate.max(MIN_RATE);
-                }
-                left
-            });
-            PuSlot {
-                pu_idx,
-                kind: pu.kind,
-                name: pu.name.clone(),
-                free: resident.is_none(),
-                est_free_in,
-            }
-        })
-        .collect();
-    let queue: Vec<PendingJob> = queue
-        .iter()
-        .map(|job| {
-            let options: Vec<PlacementOption> = soc
-                .pus
-                .iter()
-                .enumerate()
-                .filter(|(_, pu)| job.runs_on(pu.kind))
-                .map(|(pu_idx, pu)| {
-                    let phases: Vec<PhaseEstimate> = job
-                        .phases
-                        .iter()
-                        .map(|ph| {
-                            let kernel = ph.kernel_for(pu.kind).expect("runs_on checked").clone();
-                            let (rate, bw) = probe.standalone(pu_idx, &kernel);
-                            PhaseEstimate {
-                                kernel,
-                                work_lines: ph.work_lines,
-                                standalone_rate: rate,
-                                demand_gbps: bw,
-                            }
-                        })
-                        .collect();
-                    let standalone_cycles = phases
-                        .iter()
-                        .map(|p| p.work_lines / p.standalone_rate.max(MIN_RATE))
-                        .sum();
-                    PlacementOption {
-                        pu_idx,
-                        standalone_cycles,
-                        phases,
-                    }
-                })
-                .collect();
-            PendingJob {
-                job_id: job.id,
-                name: job.name.clone(),
-                arrival: job.arrival,
-                deadline: job.deadline,
-                priority: job.priority,
-                options,
-            }
-        })
-        .collect();
-    let residents: Vec<Resident> = running
-        .iter()
-        .map(|r| {
-            let kernel = r.kernel(soc).clone();
-            let (rate, bw) = probe.standalone(r.pu_idx, &kernel);
-            Resident {
-                pu_idx: r.pu_idx,
-                job_id: r.job.id,
-                kernel,
-                demand_gbps: bw,
-                standalone_rate: rate,
-                remaining_lines: r.remaining_lines,
-            }
-        })
-        .collect();
-    DecisionInput {
-        now,
-        slots,
-        queue,
-        residents,
-    }
 }
 
 /// Replays `jobs` on `soc` under `policy` and reports the schedule.
@@ -283,8 +69,9 @@ fn build_input(
 ///
 /// # Panics
 ///
-/// Panics if the engine exceeds [`SchedConfig::max_steps`] without
-/// finishing (defensive livelock bound; never reached by bundled policies).
+/// Panics if the replay exceeds [`MAX_EVENTS`](crate::replay::MAX_EVENTS)
+/// events without finishing (defensive livelock bound; never reached by
+/// bundled policies).
 pub fn run_schedule(
     soc: &SocConfig,
     mix_name: &str,
@@ -311,53 +98,37 @@ pub fn run_schedule(
     let mut span = TraceLog::span("sched.run");
     span.counter("jobs", jobs.len() as f64);
 
-    let mut probe = SimProbe::new(soc, cfg.probe.clone());
-    let mut arrivals: Vec<Job> = jobs.to_vec();
+    let mut replay: Replay<Placed> = Replay::new(soc, cfg.probe.clone());
+    let mut arrivals: Vec<&Job> = jobs.iter().collect();
     arrivals.sort_by_key(|j| (j.arrival, j.id));
-    let mut queue: Vec<Job> = Vec::new();
-    let mut running: Vec<Running> = Vec::new();
+    let mut arrivals = arrivals.into_iter().peekable();
+    let mut queue: Vec<&Job> = Vec::new();
     let mut outcomes: Vec<JobOutcome> = Vec::new();
     let mut decisions: Vec<DecisionRecord> = Vec::new();
-    let mut now = 0.0_f64;
-    let mut steps = 0usize;
 
-    while !(arrivals.is_empty() && queue.is_empty() && running.is_empty()) {
-        steps += 1;
-        assert!(
-            steps <= cfg.max_steps,
-            "scheduler exceeded {} events without finishing (policy {})",
-            cfg.max_steps,
-            policy.name()
-        );
+    loop {
         // Admit arrivals due by now.
-        while arrivals.first().is_some_and(|j| (j.arrival as f64) <= now) {
-            queue.push(arrivals.remove(0));
+        while let Some(job) = arrivals.next_if(|j| (j.arrival as f64) <= replay.now()) {
+            queue.push(job);
         }
         // Let the policy place onto free PUs.
-        let any_free = soc
-            .pus
-            .iter()
-            .enumerate()
-            .any(|(i, _)| running.iter().all(|r| r.pu_idx != i));
-        if !queue.is_empty() && any_free {
-            let input = build_input(&mut probe, soc, now, &queue, &running);
-            let assignments = policy.decide(&input, &mut probe);
-            let mut placed_any = false;
-            for a in assignments {
+        if !queue.is_empty() && replay.any_free() {
+            let input = replay.decision_input(&queue);
+            let assignments = policy.decide(&input, replay.probe());
+            // Places assignment `a` made `by` the policy (or "forced") if it
+            // is valid — its job queued, its PU free and eligible — and
+            // records the decision. Invalid assignments are ignored.
+            let mut try_place = |replay: &mut Replay<Placed>, a: &Assignment, by: &'static str| {
                 let Some(pos) = queue.iter().position(|j| j.id == a.job_id) else {
-                    continue; // unknown job; ignore
+                    return;
                 };
-                let pu_free = running.iter().all(|r| r.pu_idx != a.pu_idx);
-                let valid = a.pu_idx < soc.pus.len()
-                    && pu_free
-                    && queue[pos].runs_on(soc.pus[a.pu_idx].kind);
-                if !valid {
-                    continue; // policies may only place eligible jobs on free PUs
+                if !replay.can_place(queue[pos], a.pu_idx) {
+                    return;
                 }
-                let job = queue.remove(pos);
+                let job = queue.remove(pos).clone();
                 decisions.push(DecisionRecord {
-                    at_cycle: now,
-                    policy: policy.name().to_owned(),
+                    at_cycle: replay.now(),
+                    policy: by.to_owned(),
                     job: job.name.clone(),
                     job_id: job.id,
                     pu: soc.pus[a.pu_idx].name.clone(),
@@ -365,130 +136,48 @@ pub fn run_schedule(
                     predicted_cost: a.predicted_cost,
                     queue_depth: queue.len(),
                 });
-                let first_kernel = job.phases[0]
-                    .kernel_for(soc.pus[a.pu_idx].kind)
-                    .expect("eligibility validated above")
-                    .clone();
-                let (_, demand) = probe.standalone(a.pu_idx, &first_kernel);
-                let region = policy.region_label(a.pu_idx, demand).to_owned();
-                let remaining_lines = job.phases[0].work_lines;
-                running.push(Running {
-                    job,
-                    pu_idx: a.pu_idx,
-                    phase: 0,
-                    remaining_lines,
-                    start: now,
+                let opt = input
+                    .queue
+                    .iter()
+                    .find(|j| j.job_id == job.id)
+                    .and_then(|j| j.option_for(a.pu_idx))
+                    .expect("a queued job has an option on every eligible PU");
+                let payload = Placed {
+                    standalone_cycles: opt.standalone_cycles,
                     predicted_cost: a.predicted_cost,
-                    placed_by: policy.name().to_owned(),
-                    region,
-                });
-                placed_any = true;
+                    placed_by: by,
+                    region: policy
+                        .region_label(a.pu_idx, opt.phases[0].demand_gbps)
+                        .to_owned(),
+                };
+                replay.place(job, a.pu_idx, payload);
+            };
+            for a in &assignments {
+                try_place(&mut replay, a, policy.name());
             }
             // Progress guarantee: an idle machine with waiting work must
             // run something.
-            if running.is_empty() && !placed_any && !queue.is_empty() {
-                let input = build_input(&mut probe, soc, now, &queue, &running);
-                let qi = input.service_order()[0];
-                let job_id = input.queue[qi].job_id;
-                let opt = input.queue[qi]
-                    .options
-                    .iter()
-                    .min_by(|a, b| a.standalone_cycles.total_cmp(&b.standalone_cycles))
-                    .expect("eligibility was validated up front");
-                let pu_idx = opt.pu_idx;
-                let cost = opt.standalone_cycles;
-                let pos = queue
-                    .iter()
-                    .position(|j| j.id == job_id)
-                    .expect("job is queued");
-                let job = queue.remove(pos);
-                decisions.push(DecisionRecord {
-                    at_cycle: now,
-                    policy: "forced".to_owned(),
-                    job: job.name.clone(),
-                    job_id: job.id,
-                    pu: soc.pus[pu_idx].name.clone(),
-                    pu_idx,
-                    predicted_cost: cost,
-                    queue_depth: queue.len(),
-                });
-                let first_kernel = job.phases[0]
-                    .kernel_for(soc.pus[pu_idx].kind)
-                    .expect("eligibility validated above")
-                    .clone();
-                let (_, demand) = probe.standalone(pu_idx, &first_kernel);
-                let region = policy.region_label(pu_idx, demand).to_owned();
-                let remaining_lines = job.phases[0].work_lines;
-                running.push(Running {
-                    job,
-                    pu_idx,
-                    phase: 0,
-                    remaining_lines,
-                    start: now,
-                    predicted_cost: cost,
-                    placed_by: "forced".to_owned(),
-                    region,
-                });
+            if replay.is_idle() {
+                try_place(&mut replay, &forced_choice(&input), "forced");
             }
         }
-        if running.is_empty() {
-            // Nothing to execute: jump to the next arrival.
-            match arrivals.first() {
-                Some(next) => now = now.max(next.arrival as f64),
-                None => break,
-            }
-            continue;
+        let next_arrival = arrivals.peek().map(|j| j.arrival as f64);
+        if replay.is_idle() && next_arrival.is_none() {
+            break;
         }
-        // Measure the sustained rates of the current placement.
-        let placements: Vec<(usize, KernelDesc)> = running
-            .iter()
-            .map(|r| (r.pu_idx, r.kernel(soc).clone()))
-            .collect();
-        let rates = probe.corun_rates(&placements);
         // Advance to the next event: a phase/job completion or an arrival.
-        let mut dt = f64::INFINITY;
-        for r in &running {
-            let rate = rates.get(&r.pu_idx).copied().unwrap_or(0.0).max(MIN_RATE);
-            dt = dt.min(r.remaining_lines / rate);
-        }
-        if let Some(next) = arrivals.first() {
-            let until = next.arrival as f64 - now;
-            if until > 0.0 {
-                dt = dt.min(until);
-            }
-        }
-        now += dt;
-        let mut idx = 0;
-        while idx < running.len() {
-            let rate = rates
-                .get(&running[idx].pu_idx)
-                .copied()
-                .unwrap_or(0.0)
-                .max(MIN_RATE);
-            running[idx].remaining_lines -= rate * dt;
-            if running[idx].remaining_lines > WORK_EPSILON {
-                idx += 1;
-                continue;
-            }
-            // Phase boundary or completion.
-            let r = &mut running[idx];
-            if r.phase + 1 < r.job.phases.len() {
-                r.phase += 1;
-                r.remaining_lines = r.job.phases[r.phase].work_lines;
-                idx += 1;
-                continue;
-            }
-            let r = running.remove(idx);
-            let standalone = standalone_cycles(&mut probe, soc, &r.job, r.pu_idx);
+        for r in replay.advance(next_arrival) {
+            let standalone = r.payload.standalone_cycles;
+            let now = replay.now();
             let residence = (now - r.start).max(1.0);
             if audit::is_enabled() {
                 audit::record(
-                    AuditRecord::new("sched", "cycles", r.predicted_cost, residence)
+                    AuditRecord::new("sched", "cycles", r.payload.predicted_cost, residence)
                         .with_soc(&soc.slug())
                         .with_pu(&soc.pus[r.pu_idx].name)
                         .with_workload(&r.job.name)
-                        .with_region(&r.region)
-                        .with_policy(&r.placed_by)
+                        .with_region(&r.payload.region)
+                        .with_policy(r.payload.placed_by)
                         .with_engine(cfg.probe.engine.label()),
                 );
             }
@@ -507,7 +196,7 @@ pub fn run_schedule(
             });
         }
     }
-    span.counter("events", steps as f64);
+    span.counter("events", replay.events() as f64);
     span.counter("decisions", decisions.len() as f64);
     let makespan = outcomes.iter().map(|o| o.finish).fold(0.0, f64::max);
     metrics::add("sched.jobs", jobs.len() as u64);
@@ -526,8 +215,9 @@ pub fn run_schedule(
 mod tests {
     use super::*;
     use crate::job::JobPhase;
-    use crate::policy::{ObliviousGreedy, PccsPolicy, RoundRobin};
+    use crate::policy::{ObliviousGreedy, PccsPolicy, Probe, RoundRobin};
     use pccs_core::PccsModel;
+    use pccs_soc::kernel::KernelDesc;
     use pccs_soc::pu::PuKind;
 
     fn small_job(id: usize, arrival: u64, opb: f64, lines: f64) -> Job {

@@ -50,6 +50,8 @@ pub mod job;
 pub mod mixes;
 /// Placement policies.
 pub mod policy;
+/// The discrete-event replay core shared with `pccs-serve`.
+pub mod replay;
 /// Schedule evaluation artifacts: per-job outcomes, per-decision records,.
 pub mod report;
 

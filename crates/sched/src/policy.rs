@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 const MIN_RS_PCT: f64 = 0.5;
 
 /// Floor for measured rates in lines per cycle.
-const MIN_RATE: f64 = 1e-9;
+pub(crate) const MIN_RATE: f64 = 1e-9;
 
 /// One PU as the policy sees it.
 #[derive(Debug, Clone)]

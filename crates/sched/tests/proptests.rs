@@ -46,7 +46,6 @@ fn arb_jobs() -> impl Strategy<Value = Vec<Job>> {
 fn prop_config() -> SchedConfig {
     SchedConfig {
         probe: CoRunConfig::probe().with_horizon(4_000),
-        ..SchedConfig::default()
     }
 }
 

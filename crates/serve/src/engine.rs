@@ -2,8 +2,9 @@
 //! streams.
 //!
 //! Each run is a pipeline of arrivals → admission → batching → placement →
-//! SLO accounting, replayed against the `pccs-soc` co-run simulator the
-//! same way the offline `pccs-sched` engine replays a job list:
+//! SLO accounting, replayed against the `pccs-soc` co-run simulator by the
+//! discrete-event core the offline `pccs-sched` engine also runs on
+//! ([`pccs_sched::replay`]); this driver adds what serving needs on top:
 //!
 //! 1. the arrival process is expanded up front from its seed;
 //! 2. at every arrival, admission control predicts the request's finish
@@ -28,22 +29,20 @@ use crate::report::{RequestOutcome, ServeReport};
 use crate::request::RequestClass;
 use crate::slo::{miss_rate_pct, SloAccountant};
 use pccs_core::{PccsModel, SlowdownModel};
-use pccs_sched::engine::SimProbe;
-use pccs_sched::policy::{
-    DecisionInput, PendingJob, PhaseEstimate, PlacementOption, Policy, Probe, PuSlot, Resident,
-};
+use pccs_sched::job::Job;
+use pccs_sched::policy::{Assignment, Policy};
+use pccs_sched::replay::{forced_choice, Replay};
 use pccs_soc::corun::CoRunConfig;
-use pccs_soc::kernel::KernelDesc;
 use pccs_soc::soc::SocConfig;
 use pccs_telemetry::audit::AuditRecord;
 use pccs_telemetry::{Profiler, TraceLog};
 use pccs_workloads::calibrate::{build_model, CalibrationConfig};
 
-/// Floor for measured rates, lines per cycle.
-const MIN_RATE: f64 = 1e-9;
+/// Drift-monitor sliding-window length, observations per PU.
+const DRIFT_WINDOW: usize = 8;
 
-/// Work below this many lines counts as finished.
-const WORK_EPSILON: f64 = 1e-6;
+/// Relative drift that triggers a recalibration.
+const DRIFT_BOUND: f64 = 0.3;
 
 /// Serving-loop configuration.
 #[derive(Debug, Clone)]
@@ -62,13 +61,6 @@ pub struct ServeConfig {
     pub epoch: u64,
     /// Measurement configuration of the co-run rate probes.
     pub probe: CoRunConfig,
-    /// Upper bound on serving events before the engine declares a
-    /// livelock (defensive; never reached by the bundled policies).
-    pub max_events: usize,
-    /// Drift-monitor sliding-window length, observations per PU.
-    pub drift_window: usize,
-    /// Relative drift that triggers a recalibration.
-    pub drift_bound: f64,
 }
 
 impl Default for ServeConfig {
@@ -83,9 +75,6 @@ impl Default for ServeConfig {
             batch: BatchConfig::default(),
             epoch: 250_000,
             probe: CoRunConfig::probe(),
-            max_events: 1_000_000,
-            drift_window: 8,
-            drift_bound: 0.3,
         }
     }
 }
@@ -112,32 +101,18 @@ struct ClassProfile {
 }
 
 impl ClassProfile {
-    fn build(probe: &mut SimProbe, soc: &SocConfig, classes: &[RequestClass]) -> Self {
-        let table = classes
+    fn build(replay: &mut Replay<'_, Served>, classes: &[RequestClass]) -> Self {
+        let templates: Vec<&Job> = classes.iter().map(|c| &c.template).collect();
+        let input = replay.decision_input(&templates);
+        let pus = input.slots.len();
+        let table = input
+            .queue
             .iter()
             .map(|class| {
-                soc.pus
-                    .iter()
-                    .enumerate()
-                    .map(|(pu_idx, pu)| {
-                        if !class.template.runs_on(pu.kind) {
-                            return None;
-                        }
-                        let mut std_cycles = 0.0;
-                        let mut weighted_bw = 0.0;
-                        for ph in &class.template.phases {
-                            let kernel = ph.kernel_for(pu.kind)?;
-                            let (rate, bw) = probe.standalone(pu_idx, kernel);
-                            let t = ph.work_lines / rate.max(MIN_RATE);
-                            std_cycles += t;
-                            weighted_bw += bw * t;
-                        }
-                        let demand = if std_cycles > 0.0 {
-                            weighted_bw / std_cycles
-                        } else {
-                            0.0
-                        };
-                        Some((std_cycles, demand))
+                (0..pus)
+                    .map(|pu_idx| {
+                        let opt = class.option_for(pu_idx)?;
+                        Some((opt.standalone_cycles, opt.mean_demand_gbps()))
                     })
                     .collect()
             })
@@ -176,24 +151,15 @@ impl ClassProfile {
     }
 }
 
-/// A bundle in flight.
-struct RunningBundle {
-    bundle: Bundle,
-    pu_idx: usize,
-    phase: usize,
-    remaining_lines: f64,
-    start: f64,
+/// What a placement attaches to a running bundle.
+struct Served {
+    /// Member request ids, in arrival order.
+    members: Vec<usize>,
+    /// Index into the run's class list.
+    class_idx: usize,
     /// Admission-model predicted contended service time at placement,
     /// compared with observed residence by the drift monitor.
     predicted_service: f64,
-}
-
-impl RunningBundle {
-    fn kernel<'k>(&'k self, soc: &SocConfig) -> &'k KernelDesc {
-        self.bundle.job.phases[self.phase]
-            .kernel_for(soc.pus[self.pu_idx].kind)
-            .expect("placement was validated against eligibility")
-    }
 }
 
 /// One slowdown model per PU, calibrated against the co-run simulator
@@ -256,149 +222,36 @@ pub fn boxed_models(models: &[PccsModel]) -> Vec<Box<dyn SlowdownModel>> {
         .collect()
 }
 
-/// Builds the policy's decision input from the current bundles and
-/// residents (mirrors the offline engine's input construction).
-fn build_input(
-    probe: &mut SimProbe,
-    soc: &SocConfig,
-    now: f64,
+/// Places the bundle assignment `a` names if it is valid — a known bundle
+/// whose members are all still pending, on a free eligible PU — recording
+/// the admission model's service prediction for the drift monitor.
+/// Returns whether it placed.
+fn try_place(
+    replay: &mut Replay<'_, Served>,
+    admission: &AdmissionController,
+    profile: &ClassProfile,
     bundles: &[Bundle],
-    running: &[RunningBundle],
-) -> DecisionInput {
-    let slots: Vec<PuSlot> = soc
-        .pus
-        .iter()
-        .enumerate()
-        .map(|(pu_idx, pu)| {
-            let resident = running.iter().find(|r| r.pu_idx == pu_idx);
-            let est_free_in = resident.map_or(0.0, |r| {
-                let kernel = r.kernel(soc);
-                let (rate, _) = probe.standalone(pu_idx, kernel);
-                let mut left = r.remaining_lines / rate.max(MIN_RATE);
-                for ph in &r.bundle.job.phases[r.phase + 1..] {
-                    let k = ph
-                        .kernel_for(pu.kind)
-                        .expect("placement was validated against eligibility");
-                    let (rate, _) = probe.standalone(pu_idx, k);
-                    left += ph.work_lines / rate.max(MIN_RATE);
-                }
-                left
-            });
-            PuSlot {
-                pu_idx,
-                kind: pu.kind,
-                name: pu.name.clone(),
-                free: resident.is_none(),
-                est_free_in,
-            }
-        })
-        .collect();
-    let queue: Vec<PendingJob> = bundles
-        .iter()
-        .map(|bundle| {
-            let job = &bundle.job;
-            let options: Vec<PlacementOption> = soc
-                .pus
-                .iter()
-                .enumerate()
-                .filter(|(_, pu)| job.runs_on(pu.kind))
-                .map(|(pu_idx, pu)| {
-                    let phases: Vec<PhaseEstimate> = job
-                        .phases
-                        .iter()
-                        .map(|ph| {
-                            let kernel = ph.kernel_for(pu.kind).expect("runs_on checked").clone();
-                            let (rate, bw) = probe.standalone(pu_idx, &kernel);
-                            PhaseEstimate {
-                                kernel,
-                                work_lines: ph.work_lines,
-                                standalone_rate: rate,
-                                demand_gbps: bw,
-                            }
-                        })
-                        .collect();
-                    let standalone_cycles = phases
-                        .iter()
-                        .map(|p| p.work_lines / p.standalone_rate.max(MIN_RATE))
-                        .sum();
-                    PlacementOption {
-                        pu_idx,
-                        standalone_cycles,
-                        phases,
-                    }
-                })
-                .collect();
-            PendingJob {
-                job_id: job.id,
-                name: job.name.clone(),
-                arrival: job.arrival,
-                deadline: job.deadline,
-                priority: job.priority,
-                options,
-            }
-        })
-        .collect();
-    let residents: Vec<Resident> = running
-        .iter()
-        .map(|r| {
-            let kernel = r.kernel(soc).clone();
-            let (rate, bw) = probe.standalone(r.pu_idx, &kernel);
-            Resident {
-                pu_idx: r.pu_idx,
-                job_id: r.bundle.job.id,
-                kernel,
-                demand_gbps: bw,
-                standalone_rate: rate,
-                remaining_lines: r.remaining_lines,
-            }
-        })
-        .collect();
-    DecisionInput {
-        now,
-        slots,
-        queue,
-        residents,
-    }
-}
-
-/// The bandwidth pressure residents on *other* PUs put on `pu_idx`.
-fn external_pressure(
-    probe: &mut SimProbe,
-    soc: &SocConfig,
-    running: &[RunningBundle],
-    pu_idx: usize,
-) -> f64 {
-    running
-        .iter()
-        .filter(|r| r.pu_idx != pu_idx)
-        .map(|r| {
-            let kernel = r.kernel(soc).clone();
-            let (_, bw) = probe.standalone(r.pu_idx, &kernel);
-            bw
-        })
-        .sum()
-}
-
-/// Moves a bundle from pending to running on `pu_idx`, recording the
-/// admission model's service prediction for the drift monitor.
-fn place_bundle(
-    bundle: Bundle,
-    pu_idx: usize,
-    now: f64,
-    predicted_service: f64,
     pending: &mut Vec<PendingRequest>,
-    running: &mut Vec<RunningBundle>,
-) {
+    a: &Assignment,
+) -> bool {
+    let Some(bundle) = bundles.iter().find(|b| b.job.id == a.job_id) else {
+        return false; // unknown bundle; ignore
+    };
+    let valid = replay.can_place(&bundle.job, a.pu_idx)
+        // Guard double-assignment of one bundle in a round.
+        && bundle.members.iter().all(|id| pending.iter().any(|p| p.id == *id));
+    if !valid {
+        return false;
+    }
+    let predicted_service = bundle_service_prediction(admission, profile, replay, bundle, a.pu_idx);
     pending.retain(|p| !bundle.members.contains(&p.id));
-    let remaining_lines = bundle.job.phases[0].work_lines;
-    running.push(RunningBundle {
-        bundle,
-        pu_idx,
-        phase: 0,
-        remaining_lines,
-        start: now,
+    let payload = Served {
+        members: bundle.members.clone(),
+        class_idx: bundle.class_idx,
         predicted_service,
-    });
+    };
+    replay.place(bundle.job.clone(), a.pu_idx, payload);
+    true
 }
 
 /// Serves the request classes on `soc` under `policy`, with admission
@@ -411,9 +264,9 @@ fn place_bundle(
 ///
 /// # Panics
 ///
-/// Panics if `models` does not cover every PU or the engine exceeds
-/// [`ServeConfig::max_events`] without finishing (defensive livelock
-/// bound).
+/// Panics if `models` does not cover every PU or the replay exceeds
+/// [`MAX_EVENTS`](pccs_sched::replay::MAX_EVENTS) events without finishing
+/// (defensive livelock bound).
 pub fn run_serve(
     soc: &SocConfig,
     classes: &[RequestClass],
@@ -441,36 +294,22 @@ pub fn run_serve(
     let mut span = TraceLog::span("serve.run");
     span.counter("arrivals", arrivals.len() as f64);
 
-    let mut probe = SimProbe::new(soc, cfg.probe.clone());
-    let profile = ClassProfile::build(&mut probe, soc, classes);
+    let mut replay: Replay<Served> = Replay::new(soc, cfg.probe.clone());
+    let profile = ClassProfile::build(&mut replay, classes);
     let mut admission = AdmissionController::new(cfg.admission, models);
-    let mut drift = DriftMonitor::new(soc.pus.len(), cfg.drift_window, cfg.drift_bound);
+    let mut drift = DriftMonitor::new(soc.pus.len(), DRIFT_WINDOW, DRIFT_BOUND);
     let mut slo = SloAccountant::new();
     let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(arrivals.len());
     let mut pending: Vec<PendingRequest> = Vec::new();
-    let mut running: Vec<RunningBundle> = Vec::new();
-    let mut arrival_cursor = 0usize;
+    let mut arrivals = arrivals.into_iter().peekable();
     let mut decisions = 0usize;
-    let mut now = 0.0_f64;
     let epoch = cfg.epoch.max(1) as f64;
     let mut next_epoch = epoch;
-    let mut steps = 0usize;
 
-    while arrival_cursor < arrivals.len() || !pending.is_empty() || !running.is_empty() {
-        steps += 1;
-        assert!(
-            steps <= cfg.max_events,
-            "serving loop exceeded {} events without finishing (policy {})",
-            cfg.max_events,
-            policy.name()
-        );
+    loop {
         // Admit arrivals due by now.
-        while arrivals
-            .get(arrival_cursor)
-            .is_some_and(|a| (a.at as f64) <= now)
-        {
-            let event = arrivals[arrival_cursor];
-            arrival_cursor += 1;
+        while let Some(event) = arrivals.next_if(|a| (a.at as f64) <= replay.now()) {
+            let now = replay.now();
             let id = outcomes.len();
             let class = &classes[event.class_idx];
             slo.offered(&class.name);
@@ -479,28 +318,9 @@ pub fn run_serve(
             // (residents plus an optimistic share of the pending backlog)
             // and the external bandwidth pressure on each PU.
             let mut loads: Vec<PuLoad> = (0..soc.pus.len())
-                .map(|pu_idx| {
-                    let busy_until = running
-                        .iter()
-                        .find(|r| r.pu_idx == pu_idx)
-                        .map_or(now, |r| {
-                            let kernel = r.kernel(soc).clone();
-                            let (rate, _) = probe.standalone(pu_idx, &kernel);
-                            let mut left = r.remaining_lines / rate.max(MIN_RATE);
-                            for ph in &r.bundle.job.phases[r.phase + 1..] {
-                                let k = ph
-                                    .kernel_for(soc.pus[pu_idx].kind)
-                                    .expect("placement was validated");
-                                let (rate, _) = probe.standalone(pu_idx, k);
-                                left += ph.work_lines / rate.max(MIN_RATE);
-                            }
-                            now + left
-                        });
-                    let external_gbps = external_pressure(&mut probe, soc, &running, pu_idx);
-                    PuLoad {
-                        busy_until,
-                        external_gbps,
-                    }
+                .map(|pu_idx| PuLoad {
+                    busy_until: now + replay.standalone_left(pu_idx),
+                    external_gbps: replay.external_gbps(pu_idx),
                 })
                 .collect();
             for req in &pending {
@@ -534,141 +354,68 @@ pub fn run_serve(
             }
         }
         // Batch pending requests and let the policy place bundles.
-        let any_free = soc
-            .pus
-            .iter()
-            .enumerate()
-            .any(|(i, _)| running.iter().all(|r| r.pu_idx != i));
-        if !pending.is_empty() && any_free {
+        if !pending.is_empty() && replay.any_free() {
             let bundles = form_bundles(&pending, classes, &cfg.batch);
-            let input = build_input(&mut probe, soc, now, &bundles, &running);
-            let assignments = policy.decide(&input, &mut probe);
-            let mut placed_any = false;
-            for a in assignments {
-                let Some(pos) = bundles.iter().position(|b| b.job.id == a.job_id) else {
-                    continue; // unknown bundle; ignore
-                };
-                let bundle = &bundles[pos];
-                let valid = a.pu_idx < soc.pus.len()
-                    && running.iter().all(|r| r.pu_idx != a.pu_idx)
-                    && bundle.job.runs_on(soc.pus[a.pu_idx].kind)
-                    // Guard double-assignment of one bundle in a round.
-                    && bundle.members.iter().all(|id| pending.iter().any(|p| p.id == *id));
-                if !valid {
-                    continue;
-                }
-                let predicted = bundle_service_prediction(
-                    &admission, &profile, &mut probe, soc, &running, bundle, a.pu_idx,
-                );
-                place_bundle(
-                    bundle.clone(),
-                    a.pu_idx,
-                    now,
-                    predicted,
+            let jobs: Vec<&Job> = bundles.iter().map(|b| &b.job).collect();
+            let input = replay.decision_input(&jobs);
+            for a in policy.decide(&input, replay.probe()) {
+                if try_place(
+                    &mut replay,
+                    &admission,
+                    &profile,
+                    &bundles,
                     &mut pending,
-                    &mut running,
-                );
-                decisions += 1;
-                placed_any = true;
+                    &a,
+                ) {
+                    decisions += 1;
+                }
             }
             // Progress guarantee: an idle machine with pending work must
             // run something.
-            if running.is_empty() && !placed_any && !pending.is_empty() {
-                let qi = input.service_order()[0];
-                let job_id = input.queue[qi].job_id;
-                let pos = bundles
-                    .iter()
-                    .position(|b| b.job.id == job_id)
-                    .expect("input queue mirrors bundles");
-                let pu_idx = input.queue[qi]
-                    .options
-                    .iter()
-                    .min_by(|a, b| a.standalone_cycles.total_cmp(&b.standalone_cycles))
-                    .expect("eligibility was validated up front")
-                    .pu_idx;
-                let bundle = &bundles[pos];
-                let predicted = bundle_service_prediction(
-                    &admission, &profile, &mut probe, soc, &running, bundle, pu_idx,
-                );
-                place_bundle(
-                    bundle.clone(),
-                    pu_idx,
-                    now,
-                    predicted,
+            if replay.is_idle() {
+                let a = forced_choice(&input);
+                if try_place(
+                    &mut replay,
+                    &admission,
+                    &profile,
+                    &bundles,
                     &mut pending,
-                    &mut running,
-                );
-                decisions += 1;
+                    &a,
+                ) {
+                    decisions += 1;
+                }
             }
         }
-        if running.is_empty() {
+        let next_arrival = arrivals.peek().map(|a| a.at as f64);
+        let next_event = if replay.is_idle() {
             // Nothing executing: jump to the next arrival.
-            let Some(next) = arrivals.get(arrival_cursor) else {
+            let Some(at) = next_arrival else {
                 break;
             };
-            now = now.max(next.at as f64);
-            while now >= next_epoch {
-                slo.publish_epoch();
-                next_epoch += epoch;
-            }
-            continue;
-        }
-        // Measure the sustained rates of the current placement.
-        let placements: Vec<(usize, KernelDesc)> = running
-            .iter()
-            .map(|r| (r.pu_idx, r.kernel(soc).clone()))
-            .collect();
-        let rates = probe.corun_rates(&placements);
-        // Advance to the next event: completion, arrival, or epoch.
-        let mut dt = f64::INFINITY;
-        for r in &running {
-            let rate = rates.get(&r.pu_idx).copied().unwrap_or(0.0).max(MIN_RATE);
-            dt = dt.min(r.remaining_lines / rate);
-        }
-        if let Some(next) = arrivals.get(arrival_cursor) {
-            let until = next.at as f64 - now;
-            if until > 0.0 {
-                dt = dt.min(until);
-            }
-        }
-        let until_epoch = next_epoch - now;
-        if until_epoch > 0.0 {
-            dt = dt.min(until_epoch);
-        }
-        now += dt;
-        while now >= next_epoch {
+            at
+        } else {
+            // Run to the next completion, arrival, or epoch.
+            next_arrival.map_or(next_epoch, |at| at.min(next_epoch))
+        };
+        let finished = replay.advance(Some(next_event));
+        while replay.now() >= next_epoch {
             slo.publish_epoch();
             next_epoch += epoch;
         }
-        let mut idx = 0;
-        while idx < running.len() {
-            let rate = rates
-                .get(&running[idx].pu_idx)
-                .copied()
-                .unwrap_or(0.0)
-                .max(MIN_RATE);
-            running[idx].remaining_lines -= rate * dt;
-            if running[idx].remaining_lines > WORK_EPSILON {
-                idx += 1;
-                continue;
-            }
-            // Phase boundary or completion.
-            let r = &mut running[idx];
-            if r.phase + 1 < r.bundle.job.phases.len() {
-                r.phase += 1;
-                r.remaining_lines = r.bundle.job.phases[r.phase].work_lines;
-                idx += 1;
-                continue;
-            }
-            let done = running.remove(idx);
+        for done in finished {
+            let now = replay.now();
             let observed = (now - done.start).max(1.0);
             let pu_name = soc.pus[done.pu_idx].name.clone();
-            let class_name = classes[done.bundle.class_idx].name.clone();
+            let Served {
+                members,
+                class_idx,
+                predicted_service,
+            } = done.payload;
+            let class_name = classes[class_idx].name.clone();
             // Resolve the admission prediction into an audit pair; the
             // drift monitor is the windowed view over the same stream.
-            let demand =
-                profile.table[done.bundle.class_idx][done.pu_idx].map_or(0.0, |(_, bw)| bw);
-            let rec = AuditRecord::new("serve", "cycles", done.predicted_service, observed)
+            let demand = profile.table[class_idx][done.pu_idx].map_or(0.0, |(_, bw)| bw);
+            let rec = AuditRecord::new("serve", "cycles", predicted_service, observed)
                 .with_soc(&soc.slug())
                 .with_pu(&pu_name)
                 .with_workload(&class_name)
@@ -678,8 +425,8 @@ pub fn run_serve(
             if let Some(factor) = drift.observe_audited(done.pu_idx, rec) {
                 admission.set_correction(done.pu_idx, factor);
             }
-            let batch_size = done.bundle.members.len();
-            for &member in &done.bundle.members {
+            let batch_size = members.len();
+            for &member in &members {
                 let o = &mut outcomes[member];
                 o.finish = now;
                 o.latency = now - o.arrival as f64;
@@ -692,7 +439,7 @@ pub fn run_serve(
     }
     // A final epoch flushes whatever the last boundary missed.
     slo.publish_epoch();
-    span.counter("events", steps as f64);
+    span.counter("events", replay.events() as f64);
     span.counter("decisions", decisions as f64);
     span.counter("recalibrations", drift.recalibrations() as f64);
 
@@ -735,9 +482,7 @@ pub fn run_serve(
 fn bundle_service_prediction(
     admission: &AdmissionController,
     profile: &ClassProfile,
-    probe: &mut SimProbe,
-    soc: &SocConfig,
-    running: &[RunningBundle],
+    replay: &mut Replay<'_, Served>,
     bundle: &Bundle,
     pu_idx: usize,
 ) -> f64 {
@@ -751,7 +496,7 @@ fn bundle_service_prediction(
     };
     let load = PuLoad {
         busy_until: 0.0,
-        external_gbps: external_pressure(probe, soc, running, pu_idx),
+        external_gbps: replay.external_gbps(pu_idx),
     };
     admission.predicted_service(&candidate, &load)
 }

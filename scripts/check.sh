@@ -28,6 +28,18 @@ serve_determinism() {
   [[ -n ${out1} ]] && diff <(echo "${out1}") <(echo "${out2}")
 }
 
+# The scheduling replay must be seed-deterministic too: the same
+# `repro sched` study at two worker counts must emit byte-identical results.
+sched_determinism() {
+  local dir=target/sched-determinism out1 out2
+  rm -rf "${dir}" && mkdir -p "${dir}/j1" "${dir}/j2"
+  ./target/release/repro sched --quick --jobs 1 --metrics-out "${dir}/j1" >/dev/null || return 1
+  ./target/release/repro sched --quick --jobs 2 --metrics-out "${dir}/j2" >/dev/null || return 1
+  out1=$(sed -n '/"result"/,$p' "${dir}/j1/sched.json")
+  out2=$(sed -n '/"result"/,$p' "${dir}/j2/sched.json")
+  [[ -n ${out1} ]] && diff <(echo "${out1}") <(echo "${out2}")
+}
+
 # The event-driven memory engine must be externally indistinguishable
 # from the cycle-exact reference (DESIGN.md §11): the same quick co-run
 # on both engines must print byte-identical results.
@@ -92,6 +104,7 @@ step sched-smoke ./target/release/pccs sched --quick
 # policy (pccs-policy calibration is exercised by the repro sweep below).
 step serve-smoke ./target/release/pccs serve --quick --policy greedy
 step serve-determinism serve_determinism
+step sched-determinism sched_determinism
 # Repro smoke also exports a Perfetto trace, validated below.
 step repro-smoke ./target/release/repro oblivious --quick --jobs 2 \
   --trace-out target/trace-smoke.json
