@@ -801,7 +801,7 @@ pub fn bench(args: &Args) -> Result<(), ArgError> {
     let overhead = report.workloads["corun_contended"].extra["metrics_overhead_pct"];
     println!("metrics registry overhead: {overhead:.2}% (budget 5%)");
     let speedup = report.workloads["dram_fastpath"].extra["speedup"];
-    println!("event-engine speedup over cycle-exact: {speedup:.1}x (target 10x)");
+    println!("event-engine speedup over cycle-exact (light load): {speedup:.1}x");
     println!("baseline written to {path} (+ {csv_path})");
     Ok(())
 }

@@ -51,7 +51,7 @@ pub mod engine;
 pub mod mapping;
 /// Multi-memory-controller SoCs. Not yet wired into the SoC models —
 /// kept for the chiplet-topology roadmap item.
-pub mod multi; // pccs-lint: allow(dead-pub-item)
+pub mod multi;
 /// Memory-controller scheduling policies (Table 2 of the paper).
 pub mod policy;
 /// Memory request and address types.

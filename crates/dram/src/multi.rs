@@ -16,7 +16,7 @@ use crate::controller::{Completion, MemoryController};
 use crate::engine::{EngineKind, MemoryEngine};
 use crate::policy::PolicyKind;
 use crate::request::{MemoryRequest, SourceId};
-use crate::sim::{MeasureWindow, SimOutcome};
+use crate::sim::{next_executed_cycle, MeasureWindow, SimOutcome};
 use crate::stats::MemoryStats;
 use crate::traffic::TrafficSource;
 use pccs_telemetry::{EpochRecorder, TelemetryReport};
@@ -151,25 +151,12 @@ impl MultiMcSystem {
                     }
                 }
             }
-            // Skip ahead to the earliest cycle any controller or generator
-            // needs; the cycle engine answers `now + 1`, reproducing the
-            // legacy per-cycle loop exactly.
-            let mut next = horizon;
-            for eng in &engines {
-                next = next.min(eng.next_event(now + 1));
-            }
-            for g in &generators {
-                if let Some(emit) = g.next_emit_at(now + 1) {
-                    next = next.min(emit.max(now + 1));
-                }
-            }
-            let next = next.max(now + 1);
-            if next > now + 1 {
-                for g in &mut generators {
-                    g.fast_forward(now + 1, next);
-                }
-            }
-            now = next;
+            let engine_next = engines
+                .iter()
+                .map(|eng| eng.next_event(now + 1))
+                .min()
+                .unwrap_or(horizon);
+            now = next_executed_cycle(now, engine_next, None, horizon, &mut generators);
         }
         for eng in &mut engines {
             eng.finish(horizon);

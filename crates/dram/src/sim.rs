@@ -118,11 +118,8 @@ impl DramSystem {
         let mut warmup_bytes: BTreeMap<SourceId, u64> = BTreeMap::new();
         let mut buf: Vec<Completion> = Vec::new();
         let mut snapped = warmup == 0;
-        // The loop below steps over *executed* cycles only. The cycle
-        // engine declares every cycle actionable, which degrades it to
-        // the classic per-cycle loop; the event engine skips from one
-        // actionable cycle to the next, with `fast_forward` carrying the
-        // generators' per-cycle state across the gap bit-exactly.
+        // The loop below steps over *executed* cycles only, chosen by
+        // `next_executed_cycle`.
         let mut now = 0u64;
         while now < horizon {
             if !snapped && now == warmup {
@@ -157,25 +154,14 @@ impl DramSystem {
                     }
                 }
             }
-            // Choose the next executed cycle: the engine's next actionable
-            // cycle, any generator's next possible emission, the warmup
-            // snapshot point, or the horizon — whichever comes first.
-            let mut next = eng.next_event(now + 1).min(horizon);
-            if !snapped {
-                next = next.min(warmup);
-            }
-            for g in &generators {
-                if let Some(emit) = g.next_emit_at(now + 1) {
-                    next = next.min(emit.max(now + 1));
-                }
-            }
-            let next = next.max(now + 1);
-            if next > now + 1 {
-                for g in &mut generators {
-                    g.fast_forward(now + 1, next);
-                }
-            }
-            now = next;
+            let pending_warmup = (!snapped).then_some(warmup);
+            now = next_executed_cycle(
+                now,
+                eng.next_event(now + 1),
+                pending_warmup,
+                horizon,
+                &mut generators,
+            );
         }
         eng.finish(horizon);
 
@@ -214,6 +200,43 @@ impl DramSystem {
             conformance,
         }
     }
+}
+
+/// Picks the cycle a drive loop executes after `now` and carries the
+/// generators across any skipped span.
+///
+/// The next executed cycle is the earliest of `engine_next` (the engines'
+/// `next_event(now + 1)`), the pending `warmup` snapshot point, the
+/// `horizon`, and every generator's `next_emit_at(now + 1)`, but never
+/// before `now + 1`. Generators are asked last, and only while that bound
+/// is still above `now + 1`: once it is pinned there (always, on the cycle
+/// engine) no answer can change it, and `next_emit_at` is a pure query,
+/// so skipping the scan is bit-identical. When the result lies past
+/// `now + 1`, every generator is fast-forwarded over `[now + 1, next)`.
+pub(crate) fn next_executed_cycle(
+    now: u64,
+    engine_next: u64,
+    warmup: Option<u64>,
+    horizon: u64,
+    generators: &mut [Box<dyn TrafficSource>],
+) -> u64 {
+    let floor = now + 1;
+    let mut next = engine_next.min(horizon).min(warmup.unwrap_or(u64::MAX));
+    for g in generators.iter() {
+        if next <= floor {
+            return floor;
+        }
+        if let Some(emit) = g.next_emit_at(floor) {
+            next = next.min(emit);
+        }
+    }
+    if next <= floor {
+        return floor;
+    }
+    for g in generators.iter_mut() {
+        g.fast_forward(floor, next);
+    }
+    next
 }
 
 /// The result of one [`DramSystem::run`].
